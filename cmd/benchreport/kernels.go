@@ -115,30 +115,11 @@ func runKernelReport() kernelReport {
 		for i := range bm.Data {
 			bm.Data[i] = rng.NormFloat64()
 		}
-		before := record("MatMulPacked/f64", nil, func(b *testing.B) {
-			b.ReportAllocs()
-			var pb tensor.PackedB
-			pb.Pack(bm)
-			c := tensor.New(m64, n64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulPackedInto(c, a, &pb)
-			}
-		})
-		after := record("MatMulPacked/f32", nil, func(b *testing.B) {
-			b.ReportAllocs()
-			bm32 := tensor.NewF32(k64, n64)
-			bm32.CopyFrom64(bm)
-			var pb tensor.PackedB32
-			pb.Pack(bm32)
-			a32 := tensor.NewF32(m64, k64)
-			a32.CopyFrom64(a)
-			c := tensor.NewF32(m64, n64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulPacked32Into(c, a32, &pb)
-			}
-		})
+		a32, bm32 := tensor.NewF32(m64, k64), tensor.NewF32(k64, n64)
+		a32.CopyFrom64(a)
+		bm32.CopyFrom64(bm)
+		before := record("MatMulPacked/f64", nil, func(b *testing.B) { benchPacked(b, a, bm) })
+		after := record("MatMulPacked/f32", nil, func(b *testing.B) { benchPacked(b, a32, bm32) })
 		add("MatMulPacked", before, after)
 	}
 
@@ -153,23 +134,11 @@ func runKernelReport() kernelReport {
 				x.Data[i] = rng.NormFloat64()
 			}
 		}
-		x32 := tensor.NewF32FromShape(x.Shape)
+		x32 := tensor.NewF32(x.Shape...)
 		x32.CopyFrom64(x)
 		ws := nn.NewWorkspace()
-		before := record("Conv3DForward/f64", nil, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ws.Reset()
-				conv.ForwardInfer(x, ws)
-			}
-		})
-		after := record("Conv3DForward/f32", nil, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ws.Reset()
-				conv.ForwardInfer32(x32, ws)
-			}
-		})
+		before := record("Conv3DForward/f64", nil, func(b *testing.B) { benchConv(b, conv, x, ws) })
+		after := record("Conv3DForward/f32", nil, func(b *testing.B) { benchConv(b, conv, x32, ws) })
 		add("Conv3DForward", before, after)
 	}
 
@@ -270,5 +239,27 @@ func printKernelReport(rep kernelReport) {
 	fmt.Println()
 	for _, g := range []string{"MatMulPacked", "Conv3DForward", "PredictBatchRepro", "PredictBatch", "RunJob"} {
 		fmt.Printf("speedup %-20s %.2fx\n", g, rep.Speedups[g])
+	}
+}
+
+// benchPacked times the packed panel GEMM c = a x B at a's width.
+func benchPacked[T tensor.Float](b *testing.B, a, bm *tensor.Dense[T]) {
+	b.ReportAllocs()
+	var pb tensor.PackedB[T]
+	pb.Pack(bm)
+	c := tensor.NewFromShape[T]([]int{a.Dim(0), bm.Dim(1)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulPackedInto(c, a, &pb)
+	}
+}
+
+// benchConv times one warm pooled Conv3D inference forward at x's
+// width.
+func benchConv[T tensor.Float](b *testing.B, conv *nn.Conv3D, x *tensor.Dense[T], ws *nn.Workspace) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ws.Reset()
+		nn.Infer(conv, x, ws)
 	}
 }

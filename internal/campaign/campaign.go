@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 
 	"deepfusion/internal/chem"
@@ -664,15 +663,6 @@ func (c *Campaign) ExecuteUnit(ctx context.Context, u UnitRecord, epoch int) (Un
 	if err != nil {
 		return out, err // cancelled mid-dock; unit stays in-flight for resume
 	}
-	// DockCompounds appends poses in goroutine-completion order; sort
-	// into the canonical (compound, pose-rank) order so shard bytes —
-	// and therefore final selections — are identical across runs.
-	sort.Slice(poses, func(a, b int) bool {
-		if poses[a].CompoundID != poses[b].CompoundID {
-			return poses[a].CompoundID < poses[b].CompoundID
-		}
-		return poses[a].PoseRank < poses[b].PoseRank
-	})
 
 	o := cfg.Job
 	// Advance past failure-injection seeds consumed by earlier

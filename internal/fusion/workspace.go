@@ -15,7 +15,7 @@ import (
 // fusion models: every family gains PredictBatchInto, which scores a
 // batch through workspace-pooled buffers and writes predictions into a
 // caller-owned slice. After one warm-up batch, a steady-state call
-// performs zero heap allocations, and the scores are byte-identical to
+// performs zero heap allocations, and f64 scores are byte-identical to
 // PredictBatch — the allocating path survives unchanged as the
 // training/reference engine and the golden baseline.
 
@@ -61,33 +61,57 @@ func (ws *Workspace) Precision() Precision { return ws.precision }
 // Reset recycles the per-batch buffers; cached weight packings persist.
 func (ws *Workspace) Reset() { ws.nn.Reset() }
 
-// stackVoxels assembles per-sample [C,G,G,G] grids into a pooled
-// [B,C,G,G,G] batch tensor — the inference counterpart of stackVoxels
-// (no augmentation; inference never rotates).
-func (ws *Workspace) stackVoxels(samples []*Sample) *tensor.Tensor {
+// begin opens one PredictBatchInto call: it checks out against the
+// batch, recycles the previous call's buffers and reports whether
+// there is anything to score.
+func (ws *Workspace) begin(samples []*Sample, out []float64) bool {
+	if len(out) != len(samples) {
+		panic(fmt.Sprintf("fusion: PredictBatchInto out length %d != batch size %d", len(out), len(samples)))
+	}
+	if len(samples) == 0 {
+		return false
+	}
+	ws.Reset()
+	return true
+}
+
+// The inference forwards below are generic over the element width T
+// and shared by both precisions. Per-pose features stay float64
+// (shared with the reference path and the prefeature caches) and
+// convert exactly once per batch, at assembly time (tensor.From64:
+// narrowing at f32, a copy at f64); scores widen back to float64 at
+// the output boundary (emitScores), so Prediction and every consumer
+// above the workspace are precision-blind. Each family's
+// PredictBatchInto picks T once from the workspace's precision.
+
+// stackVoxelsInfer assembles per-sample [C,G,G,G] grids into a pooled
+// [B,C,G,G,G] batch tensor at width T — the inference counterpart of
+// stackVoxels (no augmentation; inference never rotates).
+func stackVoxelsInfer[T tensor.Float](ws *Workspace, samples []*Sample) *tensor.Dense[T] {
 	s0 := samples[0].Voxels
-	b := ws.nn.Arena.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
+	b := nn.BuffersOf[T](ws.nn).Arena.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
 	per := s0.Len()
 	for i, s := range samples {
-		copy(b.Data[i*per:(i+1)*per], s.Voxels.Data)
+		tensor.From64(b.Data[i*per:(i+1)*per], s.Voxels.Data)
 	}
 	return b
 }
 
 // unionSamples builds the disjoint union of the samples' complex
-// graphs into pooled buffers — the inference counterpart of
+// graphs into pooled buffers at width T — the inference counterpart of
 // unionGraphs, identical layout and edge order.
-func (ws *Workspace) unionSamples(samples []*Sample) (nodes *tensor.Tensor, cov, nc []featurize.Edge, segs []graph.Segment) {
+func unionSamples[T tensor.Float](ws *Workspace, samples []*Sample) (nodes *tensor.Dense[T], cov, nc []featurize.Edge, segs []graph.Segment) {
 	totalNodes := 0
 	for _, s := range samples {
 		totalNodes += s.Graph.NumNodes()
 	}
-	nodes = ws.nn.Arena.GetUninit(totalNodes, featurize.NodeFeatures)
+	const nf = featurize.NodeFeatures
+	nodes = nn.BuffersOf[T](ws.nn).Arena.GetUninit(totalNodes, nf)
 	ws.cov, ws.nc, ws.segs = ws.cov[:0], ws.nc[:0], ws.segs[:0]
 	off := 0
 	for _, s := range samples {
 		g := s.Graph
-		copy(nodes.Data[off*featurize.NodeFeatures:], g.Nodes.Data)
+		tensor.From64(nodes.Data[off*nf:(off+g.NumNodes())*nf], g.Nodes.Data)
 		ws.segs = append(ws.segs, graph.Segment{Start: off, NumLigand: g.NumLigand})
 		for _, e := range g.Covalent {
 			ws.cov = append(ws.cov, featurize.Edge{From: e.From + off, To: e.To + off, Dist: e.Dist})
@@ -100,143 +124,106 @@ func (ws *Workspace) unionSamples(samples []*Sample) (nodes *tensor.Tensor, cov,
 	return nodes, ws.cov, ws.nc, ws.segs
 }
 
-// addInfer is the pooled counterpart of tensor.Add.
-func addInfer(ws *nn.Workspace, a, b *tensor.Tensor) *tensor.Tensor {
+// addInfer is the pooled counterpart of tensor.Add for the residual
+// connections.
+func addInfer[T tensor.Float](ws *nn.Workspace, a, b *tensor.Dense[T]) *tensor.Dense[T] {
 	if len(a.Data) != len(b.Data) {
 		panic("fusion: addInfer length mismatch")
 	}
-	r := ws.Arena.GetUninit(a.Shape...)
+	r := nn.BuffersOf[T](ws).Arena.GetUninit(a.Shape...)
 	for i := range a.Data {
 		r.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return r
 }
 
-func checkInto(samples []*Sample, out []float64) {
-	if len(out) != len(samples) {
-		panic(fmt.Sprintf("fusion: PredictBatchInto out length %d != batch size %d", len(out), len(samples)))
+// emitScores widens a prediction column into the caller's float64 out
+// slice — the single f32→f64 point of the fast path (a copy at f64).
+func emitScores[T tensor.Float](out []float64, pred []T) {
+	for i, v := range pred {
+		out[i] = float64(v)
 	}
 }
 
-// forwardInfer is the pooled inference forward of the voxel head —
+// inferCNN3D is the pooled inference forward of the voxel head —
 // Forward with train=false, stage for stage, into arena buffers.
-func (m *CNN3D) forwardInfer(x *tensor.Tensor, ws *nn.Workspace) (pred, latent *tensor.Tensor) {
-	h := m.act[0].ForwardInfer(m.conv1.ForwardInfer(x, ws), ws)
-	h2 := m.act[1].ForwardInfer(m.conv2.ForwardInfer(h, ws), ws)
+func inferCNN3D[T tensor.Float](m *CNN3D, x *tensor.Dense[T], ws *nn.Workspace) (pred, latent *tensor.Dense[T]) {
+	h := nn.Infer(m.act[0], nn.Infer(m.conv1, x, ws), ws)
+	h2 := nn.Infer(m.act[1], nn.Infer(m.conv2, h, ws), ws)
 	if m.Cfg.Residual1 {
 		h2 = addInfer(ws, h2, h)
 	}
-	h2 = m.pool1.ForwardInfer(h2, ws)
-	h3 := m.act[2].ForwardInfer(m.conv3.ForwardInfer(h2, ws), ws)
-	h4 := m.act[3].ForwardInfer(m.conv4.ForwardInfer(h3, ws), ws)
+	h2 = nn.Infer(m.pool1, h2, ws)
+	h3 := nn.Infer(m.act[2], nn.Infer(m.conv3, h2, ws), ws)
+	h4 := nn.Infer(m.act[3], nn.Infer(m.conv4, h3, ws), ws)
 	if m.Cfg.Residual2 {
 		h4 = addInfer(ws, h4, h3)
 	}
-	h4 = m.pool2.ForwardInfer(h4, ws)
-	f := m.flat.ForwardInfer(h4, ws)
+	h4 = nn.Infer(m.pool2, h4, ws)
+	f := nn.Infer(m.flat, h4, ws)
 	// drop1/drop2 are the identity at inference.
-	d1 := m.fc1.ForwardInfer(f, ws)
+	d1 := nn.Infer(m.fc1, f, ws)
 	if m.bn != nil {
-		d1 = m.bn.ForwardInfer(d1, ws)
+		d1 = nn.Infer(m.bn, d1, ws)
 	}
-	d1 = m.act[4].ForwardInfer(d1, ws)
-	latent = m.act[5].ForwardInfer(m.fc2.ForwardInfer(d1, ws), ws)
-	pred = m.out.ForwardInfer(latent, ws)
+	d1 = nn.Infer(m.act[4], d1, ws)
+	latent = nn.Infer(m.act[5], nn.Infer(m.fc2, d1, ws), ws)
+	pred = nn.Infer(m.out, latent, ws)
 	return pred, latent
 }
 
-// forwardBatchInfer is the pooled inference forward of the graph head
-// over the disjoint union of the samples' graphs.
-func (m *SGCNN) forwardBatchInfer(samples []*Sample, ws *Workspace) (pred, latent *tensor.Tensor) {
-	nodes, cov, nc, segs := ws.unionSamples(samples)
-	h := m.proj.ForwardInfer(nodes, ws.nn)
-	h = m.covConv.ForwardInfer(h, cov, ws.nn)
-	h = m.bridge.ForwardInfer(h, ws.nn)
-	h = m.ncConv.ForwardInfer(h, nc, ws.nn)
-	latent = m.gather.ForwardSegmentsInfer(h, nodes, segs, ws.nn)
-	y := m.act1.ForwardInfer(m.d1.ForwardInfer(latent, ws.nn), ws.nn)
-	y = m.act2.ForwardInfer(m.d2.ForwardInfer(y, ws.nn), ws.nn)
-	pred = m.out.ForwardInfer(y, ws.nn)
+// inferSGCNN is the pooled inference forward of the graph head over
+// the disjoint union of the samples' graphs.
+func inferSGCNN[T tensor.Float](m *SGCNN, samples []*Sample, ws *Workspace) (pred, latent *tensor.Dense[T]) {
+	nodes, cov, nc, segs := unionSamples[T](ws, samples)
+	h := graph.InferProject(m.proj, nodes, ws.nn)
+	h = graph.InferGGConv(m.covConv, h, cov, ws.nn)
+	h = graph.InferProject(m.bridge, h, ws.nn)
+	h = graph.InferGGConv(m.ncConv, h, nc, ws.nn)
+	latent = graph.InferGather(m.gather, h, nodes, segs, ws.nn)
+	y := nn.Infer(m.act1, nn.Infer(m.d1, latent, ws.nn), ws.nn)
+	y = nn.Infer(m.act2, nn.Infer(m.d2, y, ws.nn), ws.nn)
+	pred = nn.Infer(m.out, y, ws.nn)
 	return pred, latent
 }
 
-// PredictBatchInto scores featurized samples through the pooled
-// engine, writing one prediction per sample into out (which must have
-// the batch's length). Scores are byte-identical to PredictBatch; a
-// warm workspace makes the call allocation-free.
-func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		m.predictBatchInto32(samples, ws, out)
-		return
-	}
-	pred, _ := m.forwardInfer(ws.stackVoxels(samples), ws.nn)
-	copy(out, pred.Data)
+// predictCNN3D is CNN3D.PredictBatchInto at width T.
+func predictCNN3D[T tensor.Float](m *CNN3D, samples []*Sample, ws *Workspace, out []float64) {
+	pred, _ := inferCNN3D(m, stackVoxelsInfer[T](ws, samples), ws.nn)
+	emitScores(out, pred.Data)
 }
 
-// PredictBatchInto scores featurized samples through the pooled graph
-// engine; see CNN3D.PredictBatchInto for the contract.
-func (m *SGCNN) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		m.predictBatchInto32(samples, ws, out)
-		return
-	}
-	pred, _ := m.forwardBatchInfer(samples, ws)
-	copy(out, pred.Data)
+// predictSGCNN is SGCNN.PredictBatchInto at width T.
+func predictSGCNN[T tensor.Float](m *SGCNN, samples []*Sample, ws *Workspace, out []float64) {
+	pred, _ := inferSGCNN[T](m, samples, ws)
+	emitScores(out, pred.Data)
 }
 
-// PredictBatchInto evaluates both heads through the pooled engine and
-// averages, like PredictBatch.
-func (l *LateFusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		l.predictBatchInto32(samples, ws, out)
-		return
-	}
-	cnnPred, _ := l.CNN.forwardInfer(ws.stackVoxels(samples), ws.nn)
-	sgPred, _ := l.SG.forwardBatchInfer(samples, ws)
+// predictLate is LateFusion.PredictBatchInto at width T: the head
+// average runs at T too, widening only the final score.
+func predictLate[T tensor.Float](l *LateFusion, samples []*Sample, ws *Workspace, out []float64) {
+	cnnPred, _ := inferCNN3D(l.CNN, stackVoxelsInfer[T](ws, samples), ws.nn)
+	sgPred, _ := inferSGCNN[T](l.SG, samples, ws)
 	for i := range out {
-		out[i] = (cnnPred.Data[i] + sgPred.Data[i]) / 2
+		out[i] = float64((cnnPred.Data[i] + sgPred.Data[i]) / 2)
 	}
 }
 
-// PredictBatchInto runs the pooled inference pass of the Mid-level /
-// Coherent fusion stack; see CNN3D.PredictBatchInto for the contract.
-func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		f.predictBatchInto32(samples, ws, out)
-		return
-	}
-	_, cnnLat := f.CNN.forwardInfer(ws.stackVoxels(samples), ws.nn)
-	_, sgLat := f.SG.forwardBatchInfer(samples, ws)
+// predictFusion is Fusion.PredictBatchInto (Mid-level and Coherent
+// fusion) at width T.
+func predictFusion[T tensor.Float](f *Fusion, samples []*Sample, ws *Workspace, out []float64) {
+	_, cnnLat := inferCNN3D(f.CNN, stackVoxelsInfer[T](ws, samples), ws.nn)
+	_, sgLat := inferSGCNN[T](f.SG, samples, ws)
 
 	b := len(samples)
-	concat := ws.nn.Arena.GetUninit(b, f.concatWidth)
+	concat := nn.BuffersOf[T](ws.nn).Arena.GetUninit(b, f.concatWidth)
 	for i := 0; i < b; i++ {
 		copy(concat.Row(i)[:f.cnnLatW], cnnLat.Row(i))
 		copy(concat.Row(i)[f.cnnLatW:f.cnnLatW+f.sgLatW], sgLat.Row(i))
 	}
 	if f.msCNN != nil {
-		mc := f.msActC.ForwardInfer(f.msCNN.ForwardInfer(cnnLat, ws.nn), ws.nn)
-		ms := f.msActS.ForwardInfer(f.msSG.ForwardInfer(sgLat, ws.nn), ws.nn)
+		mc := nn.Infer(f.msActC, nn.Infer(f.msCNN, cnnLat, ws.nn), ws.nn)
+		ms := nn.Infer(f.msActS, nn.Infer(f.msSG, sgLat, ws.nn), ws.nn)
 		off := f.cnnLatW + f.sgLatW
 		for i := 0; i < b; i++ {
 			copy(concat.Row(i)[off:off+f.msW], mc.Row(i))
@@ -246,18 +233,72 @@ func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float6
 	h := concat
 	for i, l := range f.layers {
 		prev := h
-		h = l.ForwardInfer(h, ws.nn)
+		h = nn.Infer(l, h, ws.nn)
 		if f.bns[i] != nil {
-			h = f.bns[i].ForwardInfer(h, ws.nn)
+			h = nn.Infer(f.bns[i], h, ws.nn)
 		}
-		h = f.acts[i].ForwardInfer(h, ws.nn)
+		h = nn.Infer(f.acts[i], h, ws.nn)
 		// drops are the identity at inference.
 		if f.Cfg.ResidualFusion && prev.Dim(1) == h.Dim(1) {
 			h = addInfer(ws.nn, h, prev)
 		}
 	}
-	pred := f.out.ForwardInfer(h, ws.nn)
-	copy(out, pred.Data)
+	emitScores(out, nn.Infer(f.out, h, ws.nn).Data)
+}
+
+// PredictBatchInto scores featurized samples through the pooled
+// engine at the workspace's precision, writing one prediction per
+// sample into out (which must have the batch's length). At f64 scores
+// are byte-identical to PredictBatch; a warm workspace makes the call
+// allocation-free at either precision.
+func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
+	if !ws.begin(samples, out) {
+		return
+	}
+	if ws.precision == PrecisionF32 {
+		predictCNN3D[float32](m, samples, ws, out)
+		return
+	}
+	predictCNN3D[float64](m, samples, ws, out)
+}
+
+// PredictBatchInto scores featurized samples through the pooled graph
+// engine; see CNN3D.PredictBatchInto for the contract.
+func (m *SGCNN) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
+	if !ws.begin(samples, out) {
+		return
+	}
+	if ws.precision == PrecisionF32 {
+		predictSGCNN[float32](m, samples, ws, out)
+		return
+	}
+	predictSGCNN[float64](m, samples, ws, out)
+}
+
+// PredictBatchInto evaluates both heads through the pooled engine and
+// averages, like PredictBatch.
+func (l *LateFusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
+	if !ws.begin(samples, out) {
+		return
+	}
+	if ws.precision == PrecisionF32 {
+		predictLate[float32](l, samples, ws, out)
+		return
+	}
+	predictLate[float64](l, samples, ws, out)
+}
+
+// PredictBatchInto runs the pooled inference pass of the Mid-level /
+// Coherent fusion stack; see CNN3D.PredictBatchInto for the contract.
+func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
+	if !ws.begin(samples, out) {
+		return
+	}
+	if ws.precision == PrecisionF32 {
+		predictFusion[float32](f, samples, ws, out)
+		return
+	}
+	predictFusion[float64](f, samples, ws, out)
 }
 
 // ScoreBatchInto implements the screening engine's pooled scoring

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"math"
 	"testing"
 
 	"deepfusion/internal/featurize"
@@ -92,23 +93,27 @@ func TestWorkspaceInterleavedScorersNoLeakage(t *testing.T) {
 	}
 }
 
-// TestPredictBatchIntoZeroAlloc pins the tentpole: a warm steady-state
-// batch through the full Coherent Fusion stack (both heads, fusion
-// layers) performs zero heap allocations.
+// TestPredictBatchIntoZeroAlloc pins the tentpole at both precisions:
+// a warm steady-state batch through the full Coherent Fusion stack
+// (both heads, fusion layers) performs zero heap allocations.
 func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	ds := dataset(t)
 	samples := featurized(t, ds.Core[:8])
 	cnn := NewCNN3D(tinyCNNConfig(), 51)
 	sg := NewSGCNN(tinySGConfig(), 52)
 	f := NewFusion(DefaultCoherentConfig(), cnn, sg, 53)
-	ws := NewWorkspace()
-	out := make([]float64, len(samples))
-	run := func() { f.PredictBatchInto(samples, ws, out) }
-	for i := 0; i < 3; i++ {
-		run()
-	}
-	if avg := testing.AllocsPerRun(50, run); avg != 0 {
-		t.Fatalf("warm PredictBatchInto allocates %.1f times per run, want 0", avg)
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		t.Run(string(p), func(t *testing.T) {
+			ws := NewWorkspaceFor(p)
+			out := make([]float64, len(samples))
+			run := func() { f.PredictBatchInto(samples, ws, out) }
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if avg := testing.AllocsPerRun(50, run); avg != 0 {
+				t.Fatalf("warm %s PredictBatchInto allocates %.1f times per run, want 0", p, avg)
+			}
+		})
 	}
 }
 
@@ -193,4 +198,81 @@ func TestFeaturizeComplexIntoMatchesFresh(t *testing.T) {
 			t.Fatalf("node feature %d differs after slot reuse", i)
 		}
 	}
+}
+
+// TestPredictBatchInto32Tolerance pins the f32 fast path's
+// per-pose accumulation error against the f64 reference at ≤1e-4
+// relative, for every model family and batch geometry — the explicit
+// numeric contract of the precision knob (rank fidelity on top of
+// this is pinned by the engine-level A/B harness).
+func TestPredictBatchInto32Tolerance(t *testing.T) {
+	const tol = 1e-4
+	ds := dataset(t)
+	samples := featurized(t, ds.Core[:8])
+	cnn := NewCNN3D(tinyCNNConfig(), 91)
+	sg := NewSGCNN(tinySGConfig(), 92)
+	late := &LateFusion{CNN: cnn, SG: sg}
+	mid := NewFusion(DefaultMidFusionConfig(), cnn, sg, 93)
+	coh := NewFusion(DefaultCoherentConfig(), cnn, sg, 94)
+
+	ws64 := NewWorkspaceFor(PrecisionF64)
+	ws32 := NewWorkspaceFor(PrecisionF32)
+	if ws32.Precision() != PrecisionF32 {
+		t.Fatalf("workspace precision = %q, want f32", ws32.Precision())
+	}
+	models := []struct {
+		name string
+		into func(ss []*Sample, ws *Workspace, out []float64)
+	}{
+		{"CNN3D", func(ss []*Sample, ws *Workspace, out []float64) { cnn.PredictBatchInto(ss, ws, out) }},
+		{"SGCNN", func(ss []*Sample, ws *Workspace, out []float64) { sg.PredictBatchInto(ss, ws, out) }},
+		{"Late", func(ss []*Sample, ws *Workspace, out []float64) { late.PredictBatchInto(ss, ws, out) }},
+		{"Mid", func(ss []*Sample, ws *Workspace, out []float64) { mid.PredictBatchInto(ss, ws, out) }},
+		{"Coherent", func(ss []*Sample, ws *Workspace, out []float64) { coh.PredictBatchInto(ss, ws, out) }},
+	}
+	for _, m := range models {
+		for _, bs := range []int{1, 3, 8} {
+			for lo := 0; lo < len(samples); lo += bs {
+				hi := lo + bs
+				if hi > len(samples) {
+					hi = len(samples)
+				}
+				want := make([]float64, hi-lo)
+				got := make([]float64, hi-lo)
+				m.into(samples[lo:hi], ws64, want)
+				m.into(samples[lo:hi], ws32, got)
+				for j := range got {
+					den := math.Abs(want[j])
+					if den < 1 {
+						den = 1
+					}
+					if e := math.Abs(got[j]-want[j]) / den; e > tol {
+						t.Fatalf("%s: batch size %d sample %d: f32 %v vs f64 %v (rel err %g > %g)",
+							m.name, bs, lo+j, got[j], want[j], e, tol)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrecisionValidate covers the knob's normalization and rejection.
+func TestPrecisionValidate(t *testing.T) {
+	if got := Precision("").Normalize(); got != PrecisionF64 {
+		t.Fatalf("Normalize(\"\") = %q, want f64", got)
+	}
+	for _, p := range []Precision{"", "f32", "f64"} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Validate(%q) = %v", p, err)
+		}
+	}
+	if err := Precision("f16").Validate(); err == nil {
+		t.Fatal("Validate(\"f16\") accepted")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWorkspaceFor(\"bad\") did not panic")
+		}
+	}()
+	NewWorkspaceFor("bad")
 }

@@ -364,23 +364,25 @@ func (p *Project) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(grad, p.W.Value)
 }
 
-func sigmoid(v float64) float64 {
+// sigmoid and tanh serve training (float64) and both inference
+// widths; the exponential runs in f64 and narrows to T.
+func sigmoid[T tensor.Float](v T) T {
 	if v >= 0 {
-		e := exp(-v)
+		e := T(exp(float64(-v)))
 		return 1 / (1 + e)
 	}
-	e := exp(v)
+	e := T(exp(float64(v)))
 	return e / (1 + e)
 }
 
-func tanh(v float64) float64 {
+func tanh[T tensor.Float](v T) T {
 	if v > 20 {
 		return 1
 	}
 	if v < -20 {
 		return -1
 	}
-	e2 := exp(2 * v)
+	e2 := T(exp(float64(2 * v)))
 	return (e2 - 1) / (e2 + 1)
 }
 

@@ -224,22 +224,22 @@ func TestProjectGradient(t *testing.T) {
 }
 
 func TestSigmoidTanhNumerics(t *testing.T) {
-	if v := sigmoid(0); math.Abs(v-0.5) > 1e-12 {
+	if v := sigmoid[float64](0); math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("sigmoid(0) = %v", v)
 	}
-	if v := sigmoid(1000); v != 1 {
+	if v := sigmoid[float64](1000); v != 1 {
 		t.Fatalf("sigmoid overflow: %v", v)
 	}
-	if v := sigmoid(-1000); v != 0 {
+	if v := sigmoid[float64](-1000); v != 0 {
 		t.Fatalf("sigmoid underflow: %v", v)
 	}
-	if v := tanh(0); v != 0 {
+	if v := tanh[float64](0); v != 0 {
 		t.Fatalf("tanh(0) = %v", v)
 	}
-	if v := tanh(100); v != 1 {
+	if v := tanh[float64](100); v != 1 {
 		t.Fatalf("tanh saturation: %v", v)
 	}
-	if v := tanh(0.5); math.Abs(v-math.Tanh(0.5)) > 1e-12 {
+	if v := tanh[float64](0.5); math.Abs(v-math.Tanh(0.5)) > 1e-12 {
 		t.Fatalf("tanh(0.5) = %v", v)
 	}
 }

@@ -63,6 +63,6 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-func panicShape(layer string, x *tensor.Tensor, want int) {
+func panicShape[T tensor.Float](layer string, x *tensor.Dense[T], want int) {
 	panic(layer + ": input shape " + x.String() + " incompatible with layer width")
 }

@@ -428,28 +428,30 @@ type DockProblem struct {
 func (p DockProblem) String() string { return p.CompoundID + ": " + p.Reason }
 
 // DockCompounds runs the ConveyorLC docking stage for a compound set,
-// producing the pose queue for scoring. Compounds that fail
-// preparation or docking are skipped and reported as DockProblems
-// (sorted by compound ID), matching the production funnel's tolerance
-// of bad inputs without discarding the evidence. Cancelling ctx stops
-// the stage between compounds and returns ctx.Err().
+// producing the pose queue for scoring, sorted by (CompoundID,
+// PoseRank). Compounds that fail preparation or docking are skipped
+// and reported as DockProblems (sorted by compound ID), matching the
+// production funnel's tolerance of bad inputs without discarding the
+// evidence. Cancelling ctx stops the stage between compounds and
+// returns ctx.Err().
 func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxPoses int, seed int64) ([]Pose, []DockProblem, error) {
 	so := dock.DefaultSearchOptions()
 	so.NumPoses = maxPoses
 	so.MCSteps = 30
 	so.Restarts = 4
-	var mu sync.Mutex
-	var poses []Pose
-	var problems []DockProblem
+	// Each goroutine writes only its own compound's slot, so the
+	// assembly below sees results in input order whatever order the
+	// goroutines finish in.
+	docked := make([][]dock.Pose, len(mols))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
-	for _, m := range mols {
+	for i, m := range mols {
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(m *chem.Mol) {
+		go func(i int, m *chem.Mol) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			so := so
@@ -457,25 +459,35 @@ func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxP
 			// length (the old scheme) collided for any two compounds with
 			// same-length names, replaying identical MC trajectories.
 			so.Seed = seed ^ int64(compoundHash(m.Name))
-			ps := dock.Dock(p, m, so)
-			mu.Lock()
-			defer mu.Unlock()
-			if len(ps) == 0 {
-				problems = append(problems, DockProblem{CompoundID: m.Name, Reason: "no pose survived the search"})
-				return
-			}
-			for _, dp := range ps {
-				poses = append(poses, Pose{CompoundID: m.Name, PoseRank: dp.Rank, Mol: dp.Mol, VinaScore: dp.Score})
-			}
-		}(m)
+			docked[i] = dock.Dock(p, m, so)
+		}(i, m)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Goroutines finish in scheduling order; report problems
-	// deterministically.
-	sort.Slice(problems, func(a, b int) bool { return problems[a].CompoundID < problems[b].CompoundID })
+	var poses []Pose
+	var problems []DockProblem
+	for i, m := range mols {
+		if len(docked[i]) == 0 {
+			problems = append(problems, DockProblem{CompoundID: m.Name, Reason: "no pose survived the search"})
+			continue
+		}
+		for _, dp := range docked[i] {
+			poses = append(poses, Pose{CompoundID: m.Name, PoseRank: dp.Rank, Mol: dp.Mol, VinaScore: dp.Score})
+		}
+	}
+	// The canonical pose order is (compound, pose rank): every consumer
+	// — shard bytes, aggregation, selection tie-breaks — sees the same
+	// sequence at any GOMAXPROCS. Stable sorts keep duplicate compound
+	// IDs in input order.
+	sort.SliceStable(poses, func(a, b int) bool {
+		if poses[a].CompoundID != poses[b].CompoundID {
+			return poses[a].CompoundID < poses[b].CompoundID
+		}
+		return poses[a].PoseRank < poses[b].PoseRank
+	})
+	sort.SliceStable(problems, func(a, b int) bool { return problems[a].CompoundID < problems[b].CompoundID })
 	return poses, problems, nil
 }
 

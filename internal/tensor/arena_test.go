@@ -35,7 +35,7 @@ func TestPackedKernelsMatchScalar(t *testing.T) {
 			want := seed.Clone()
 			MatMulAcc(want, a, b)
 			got := seed.Clone()
-			var pb PackedB
+			var pb PackedB[float64]
 			pb.Pack(b)
 			MatMulAccPacked(got, a, &pb)
 			for i := range want.Data {
@@ -49,7 +49,7 @@ func TestPackedKernelsMatchScalar(t *testing.T) {
 			wantT := MatMulTransB(a, w)
 			gotT := New(sh.m, sh.n)
 			gotT.Fill(42) // must be fully overwritten
-			var pt PackedB
+			var pt PackedB[float64]
 			pt.PackTransposed(w.Data, sh.n, sh.k)
 			MatMulPackedInto(gotT, a, &pt)
 			for i := range wantT.Data {
@@ -76,7 +76,7 @@ func TestPackedKernelsMatchScalar(t *testing.T) {
 // reuses its buffer and produces correct panels each time.
 func TestPackReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	var pb PackedB
+	var pb PackedB[float64]
 	for _, sh := range []struct{ k, n int }{{40, 24}, {8, 3}, {12, 17}} {
 		a := randMat(rng, 5, sh.k, 0.5)
 		b := randMat(rng, sh.k, sh.n, 0)
@@ -97,7 +97,7 @@ func TestPackReuse(t *testing.T) {
 // after Reset reuse buffers, Get zeroes, GetUninit may not, views
 // alias their data.
 func TestArenaRecycles(t *testing.T) {
-	a := NewArena()
+	a := NewArena[float64]()
 	t1 := a.Get(4, 8)
 	t1.Fill(3)
 	buf := &t1.Data[0]
@@ -130,7 +130,7 @@ func TestArenaRecycles(t *testing.T) {
 
 // TestArenaPut pins early recycling within one cycle.
 func TestArenaPut(t *testing.T) {
-	a := NewArena()
+	a := NewArena[float64]()
 	t1 := a.GetUninit(100)
 	p1 := &t1.Data[0]
 	a.Put(t1)
@@ -144,15 +144,25 @@ func TestArenaPut(t *testing.T) {
 	}
 }
 
-// TestArenaZeroAllocSteadyState is the kernel-level allocation pin:
-// a warm Get/View/Reset cycle performs zero heap allocations.
+// TestArenaZeroAllocSteadyState is the kernel-level allocation pin at
+// both widths: a warm Get/GetUninit/View/Put/Reset cycle performs zero
+// heap allocations, Get hands out zeroed buffers and the shape
+// bookkeeping survives recycling.
 func TestArenaZeroAllocSteadyState(t *testing.T) {
-	a := NewArena()
+	t.Run("f64", testArenaSteadyState[float64])
+	t.Run("f32", testArenaSteadyState[float32])
+}
+
+func testArenaSteadyState[T Float](t *testing.T) {
+	a := NewArena[T]()
 	cycle := func() {
 		x := a.Get(16, 16)
 		y := a.GetUninit(16, 16)
 		_ = a.View(x.Data, 256)
 		copy(y.Data, x.Data)
+		a.Put(y)
+		z := a.GetUninit(16, 16) // reuses y's buffer
+		z.Fill(7)                // dirties a pooled buffer for the Get check
 		a.Reset()
 	}
 	for i := 0; i < 3; i++ {
@@ -161,13 +171,134 @@ func TestArenaZeroAllocSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("warm arena cycle allocates %.1f times per run, want 0", avg)
 	}
+	x := a.Get(16, 16)
+	for _, v := range x.Data {
+		if v != 0 {
+			t.Fatalf("Get returned a dirty buffer")
+		}
+	}
+	if x.Len() != 256 || x.Rank() != 2 {
+		t.Fatalf("Get shape bookkeeping broken: %v", x.Shape)
+	}
+}
+
+// refMatMul is the naive i-j-k reference at T's width, seeded per
+// element (ascending-k accumulation, the kernels' term order).
+func refMatMul[T Float](a, b *Dense[T], seed T) *Dense[T] {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	c := NewFromShape[T]([]int{m, n})
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := seed
+			for p := 0; p < k; p++ {
+				s += a.Data[i*k+p] * b.Data[p*n+j]
+			}
+			c.Data[i*n+j] = s
+		}
+	}
+	return c
+}
+
+// randDense fills a tensor of T with normal values, a quarter of them
+// exact zeros to exercise the zero-skip branches.
+func randDense[T Float](rng *rand.Rand, shape ...int) *Dense[T] {
+	t := NewFromShape[T](append([]int(nil), shape...))
+	for i := range t.Data {
+		t.Data[i] = T(rng.NormFloat64())
+		if rng.Intn(4) == 0 {
+			t.Data[i] = 0
+		}
+	}
+	return t
+}
+
+// TestMatMulPackedRaggedTails sweeps M, N, K through values that are
+// not multiples of the panel width (including the 4-lane tail block
+// and the scalar lanes) and pins the packed kernels at both widths to
+// the naive reference exactly — same term order, so bitwise equality
+// is required (at float32 this covers the SSE full-panel leaves).
+func TestMatMulPackedRaggedTails(t *testing.T) {
+	t.Run("f64", testMatMulPackedRaggedTails[float64])
+	t.Run("f32", testMatMulPackedRaggedTails[float32])
+}
+
+func testMatMulPackedRaggedTails[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, m := range []int{1, 3, 8, 13} {
+		for _, n := range []int{1, 2, 4, 5, 7, 8, 9, 12, 15, 16, 17} {
+			for _, k := range []int{1, 3, 8, 11} {
+				a := randDense[T](rng, m, k)
+				b := randDense[T](rng, k, n)
+				want := refMatMul(a, b, 0)
+
+				var pb PackedB[T]
+				pb.Pack(b)
+				got := NewFromShape[T]([]int{m, n})
+				MatMulPackedInto(got, a, &pb)
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("MatMulPackedInto m=%d n=%d k=%d: elem %d = %g, want %g", m, n, k, i, got.Data[i], want.Data[i])
+					}
+				}
+
+				// Accumulating variant: the seed enters the running
+				// accumulator first, so the reference must seed too.
+				wantAcc := refMatMul(a, b, 0.5)
+				acc := NewFromShape[T]([]int{m, n})
+				acc.Fill(0.5)
+				MatMulAccPacked(acc, a, &pb)
+				for i := range wantAcc.Data {
+					if acc.Data[i] != wantAcc.Data[i] {
+						t.Fatalf("MatMulAccPacked m=%d n=%d k=%d: elem %d = %g, want %g", m, n, k, i, acc.Data[i], wantAcc.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackTransposed64MatchesPack pins the weight conversion point at
+// both widths: packing the T-converted wᵀ directly must equal
+// converting while packing.
+func TestPackTransposed64MatchesPack(t *testing.T) {
+	t.Run("f64", testPackTransposedMatchesPack[float64])
+	t.Run("f32", testPackTransposedMatchesPack[float32])
+}
+
+func testPackTransposedMatchesPack[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for _, nk := range [][2]int{{1, 1}, {5, 3}, {8, 8}, {13, 7}, {16, 9}} {
+		n, k := nk[0], nk[1]
+		w := make([]float64, n*k)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		wt := NewFromShape[T]([]int{k, n})
+		for i := 0; i < n; i++ {
+			for p := 0; p < k; p++ {
+				wt.Data[p*n+i] = T(w[i*k+p])
+			}
+		}
+		var want, got PackedB[T]
+		want.Pack(wt)
+		got.PackTransposed(w, n, k)
+		if want.K != got.K || want.N != got.N || len(want.data) != len(got.data) {
+			t.Fatalf("n=%d k=%d: header mismatch", n, k)
+		}
+		for i := range want.data {
+			if want.data[i] != got.data[i] {
+				t.Fatalf("n=%d k=%d: panel elem %d = %g, want %g", n, k, i, got.data[i], want.data[i])
+			}
+		}
+	}
 }
 
 // TestNewFromShapeOwnership documents the single-shot constructor's
 // ownership contract.
 func TestNewFromShapeOwnership(t *testing.T) {
 	shape := []int{2, 3}
-	tt := NewFromShape(shape)
+	tt := NewFromShape[float64](shape)
 	if &tt.Shape[0] != &shape[0] {
 		t.Fatalf("NewFromShape copied the shape it was given ownership of")
 	}

@@ -22,28 +22,22 @@ func BenchmarkMatMulPacked(b *testing.B) {
 		bm.Data[i] = rng.NormFloat64()
 	}
 
-	b.Run("f64", func(b *testing.B) {
-		b.ReportAllocs()
-		var pb PackedB
-		pb.Pack(bm)
-		c := New(m, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MatMulPackedInto(c, a, &pb)
-		}
-	})
+	b.Run("f64", func(b *testing.B) { benchMatMulPacked(b, a, bm) })
 	b.Run("f32", func(b *testing.B) {
-		b.ReportAllocs()
-		bm32 := NewF32(k, n)
-		bm32.CopyFrom64(bm)
-		var pb PackedB32
-		pb.Pack(bm32)
-		a32 := NewF32(m, k)
+		a32, bm32 := NewF32(m, k), NewF32(k, n)
 		a32.CopyFrom64(a)
-		c := NewF32(m, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MatMulPacked32Into(c, a32, &pb)
-		}
+		bm32.CopyFrom64(bm)
+		benchMatMulPacked(b, a32, bm32)
 	})
+}
+
+func benchMatMulPacked[T Float](b *testing.B, a, bm *Dense[T]) {
+	b.ReportAllocs()
+	var pb PackedB[T]
+	pb.Pack(bm)
+	c := NewFromShape[T]([]int{a.Dim(0), bm.Dim(1)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulPackedInto(c, a, &pb)
+	}
 }

@@ -25,8 +25,8 @@ import "fmt"
 // zeros — so no separate whole-tile clear pass is needed. That halves
 // the kernel's write traffic versus zero-fill-then-scatter, which is
 // what makes the tile convolution bandwidth-bound rather than
-// store-bound (and is where the f32 twin's narrower elements pay).
-func Im2Col3D(x *Tensor, b, k, posLo, posHi int, cols *Tensor) {
+// store-bound (and is where F32's narrower elements pay).
+func Im2Col3D[T Float](x *Dense[T], b, k, posLo, posHi int, cols *Dense[T]) {
 	if x.Rank() != 5 {
 		panic("tensor: Im2Col3D requires a rank-5 input")
 	}
@@ -119,7 +119,7 @@ func Col2Im3D(dcols *Tensor, b, k, posLo, posHi int, dx *Tensor) {
 // tensors can be filled concurrently. Steady-state loops that reuse
 // one B across many calls should pack it once and use MatMulAccPacked
 // instead (identical results, cache-blocked).
-func MatMulAcc(c, a, b *Tensor) {
+func MatMulAcc[T Float](c, a, b *Dense[T]) {
 	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 {
 		panic("tensor: MatMulAcc requires rank-2 tensors")
 	}
@@ -129,6 +129,24 @@ func MatMulAcc(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulAcc shapes %v x %v -> %v", a.Shape, b.Shape, c.Shape))
 	}
 	matMulAccRows(c, a, b, 0, m)
+}
+
+// TransposeFrom64 returns the transpose of the row-major n x k
+// float64 matrix held in data as a [k, n] tensor of T — the cached
+// transposed weights behind the sparse convolutions. For F32 it is the
+// f64→f32 conversion point of those weights, like
+// PackedB.PackTransposed for the dense products.
+func TransposeFrom64[T Float](data []float64, n, k int) *Dense[T] {
+	if len(data) != n*k {
+		panic(fmt.Sprintf("tensor: TransposeFrom64 needs %d elements, got %d", n*k, len(data)))
+	}
+	t := NewFromShape[T]([]int{k, n})
+	for i := 0; i < n; i++ {
+		for j, v := range data[i*k : (i+1)*k] {
+			t.Data[j*n+i] = T(v)
+		}
+	}
+	return t
 }
 
 // Transpose returns aᵀ for a rank-2 tensor.

@@ -26,24 +26,34 @@ func MatMul(a, b *Tensor) *Tensor {
 		matMulAccRows(c, a, b, 0, m)
 		return c
 	}
-	var pb PackedB
+	var pb PackedB[float64]
 	pb.Pack(b)
-	ParallelFor(m, func(lo, hi int) { matMulPackedRows(c, a, &pb, lo, hi, true, true) })
+	ParallelFor(m, func(lo, hi int) { matMulPackedRows(c, a, &pb, lo, hi, true) })
 	return c
 }
 
 // matMulAccRows is the scalar C += A x B kernel over output rows
 // [lo, hi): i-k-j order so B streams row-wise, with zero A entries
 // skipped (the sparse-voxel fast path). Shared by MatMul's small-size
-// path and MatMulAcc.
-func matMulAccRows(c, a, b *Tensor, lo, hi int) {
+// path and MatMulAcc. Each B row update is an independent-lane axpy,
+// which F32 runs through the SSE leaf Axpy32 (bit-identical to the
+// scalar loop, four lanes per instruction).
+func matMulAccRows[T Float](c, a, b *Dense[T], lo, hi int) {
 	k, n := a.Shape[1], b.Shape[1]
+	var c32, b32 []float32
+	if Is32[T]() {
+		c32, b32 = As32(c.Data), As32(b.Data)
+	}
 	for i := lo; i < hi; i++ {
 		ci := c.Data[i*n : (i+1)*n]
 		ai := a.Data[i*k : (i+1)*k]
 		for p := 0; p < k; p++ {
 			av := ai[p]
 			if av == 0 {
+				continue
+			}
+			if Is32[T]() {
+				Axpy32(c32[i*n:(i+1)*n], b32[p*n:(p+1)*n], float32(av))
 				continue
 			}
 			bp := b.Data[p*n : (p+1)*n]

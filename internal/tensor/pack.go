@@ -7,7 +7,7 @@ import "fmt"
 // weight matrix that is constant across every batch of a screening job
 // — is repacked once into contiguous column panels; the multiply then
 // sweeps each panel with an unrolled 8-lane accumulation, so one panel
-// (K x 8 doubles) stays cache-resident while the A rows stream past
+// (K x 8 elements) stays cache-resident while the A rows stream past
 // and the output row accumulates in registers instead of memory.
 // Per-element term order is exactly the scalar kernels' ascending-k
 // order, which is what keeps pooled-path scores byte-identical to the
@@ -21,8 +21,9 @@ import "fmt"
 // 2-4x slower at realistic voxel sparsity. Call sites choose by
 // operand character, not size.
 
-// packPanel is the panel width: 8 float64 columns, one 64-byte cache
-// line per accumulation row.
+// packPanel is the panel width: 8 columns, one 64-byte cache line per
+// accumulation row at float64 (half a line at float32, which is the
+// memory-traffic win of the f32 path).
 const packPanel = 8
 
 // PackedB is a K x N matrix repacked into column panels for
@@ -31,16 +32,16 @@ const packPanel = 8
 // contiguous); the last panel is zero-padded. A PackedB is built once
 // per (weights, shape) — typically cached in an inference workspace —
 // and read concurrently by any number of multiplies.
-type PackedB struct {
+type PackedB[T Float] struct {
 	K, N int
-	data []float64
+	data []T
 }
 
-func (pb *PackedB) init(k, n int) {
+func (pb *PackedB[T]) init(k, n int) {
 	pb.K, pb.N = k, n
 	need := (n + packPanel - 1) / packPanel * packPanel * k
 	if cap(pb.data) < need {
-		pb.data = make([]float64, need)
+		pb.data = make([]T, need)
 	} else {
 		pb.data = pb.data[:need]
 	}
@@ -48,7 +49,7 @@ func (pb *PackedB) init(k, n int) {
 
 // Pack fills pb from the row-major K x N matrix b, reusing pb's buffer
 // when it is large enough.
-func (pb *PackedB) Pack(b *Tensor) {
+func (pb *PackedB[T]) Pack(b *Dense[T]) {
 	if b.Rank() != 2 {
 		panic("tensor: PackedB.Pack requires a rank-2 tensor")
 	}
@@ -56,46 +57,36 @@ func (pb *PackedB) Pack(b *Tensor) {
 	pb.init(k, n)
 	for j0 := 0; j0 < n; j0 += packPanel {
 		panel := pb.data[j0/packPanel*k*packPanel:]
-		w := n - j0
-		if w > packPanel {
-			w = packPanel
-		}
+		w := min(n-j0, packPanel)
 		for p := 0; p < k; p++ {
-			src := b.Data[p*n+j0 : p*n+j0+w]
 			dst := panel[p*packPanel : p*packPanel+packPanel]
-			copy(dst, src)
-			for t := w; t < packPanel; t++ {
-				dst[t] = 0
-			}
+			copy(dst, b.Data[p*n+j0:p*n+j0+w])
+			clear(dst[w:])
 		}
 	}
 }
 
 // PackTransposed fills pb with the transpose of the row-major n x k
-// matrix held in data (higher-rank weights collapse to [n, k] row
-// major, e.g. conv kernels [Out, In*K^3]). The result is the packed
-// form of the k x n matrix dataᵀ, built without materializing the
-// transpose — the packed counterpart of Transpose(w) and the B operand
-// of every y = x·Wᵀ layer.
-func (pb *PackedB) PackTransposed(data []float64, n, k int) {
+// float64 matrix held in data (higher-rank weights collapse to [n, k]
+// row major, e.g. conv kernels [Out, In*K^3]), converted to T. The
+// result is the packed form of the k x n matrix dataᵀ, built without
+// materializing the transpose — the packed counterpart of Transpose(w)
+// and the B operand of every y = x·Wᵀ layer. For PackedB[float32] this
+// is the f64→f32 weight conversion point of the dense products.
+func (pb *PackedB[T]) PackTransposed(data []float64, n, k int) {
 	if len(data) != n*k {
 		panic(fmt.Sprintf("tensor: PackTransposed needs %d elements, got %d", n*k, len(data)))
 	}
 	pb.init(k, n)
 	for j0 := 0; j0 < n; j0 += packPanel {
 		panel := pb.data[j0/packPanel*k*packPanel:]
-		w := n - j0
-		if w > packPanel {
-			w = packPanel
-		}
+		w := min(n-j0, packPanel)
 		for p := 0; p < k; p++ {
 			dst := panel[p*packPanel : p*packPanel+packPanel]
 			for t := 0; t < w; t++ {
-				dst[t] = data[(j0+t)*k+p]
+				dst[t] = T(data[(j0+t)*k+p])
 			}
-			for t := w; t < packPanel; t++ {
-				dst[t] = 0
-			}
+			clear(dst[w:])
 		}
 	}
 }
@@ -105,21 +96,21 @@ func (pb *PackedB) PackTransposed(data []float64, n, k int) {
 // element with zero entries of A skipped. The caller owns parallelism
 // (disjoint row blocks of c may be filled concurrently via
 // matMulPackedRows through MatMul; this entry point is serial).
-func MatMulAccPacked(c, a *Tensor, pb *PackedB) {
+func MatMulAccPacked[T Float](c, a *Dense[T], pb *PackedB[T]) {
 	checkPackedShapes("MatMulAccPacked", c, a, pb)
-	matMulPackedRows(c, a, pb, 0, a.Shape[0], true, true)
+	matMulPackedRows(c, a, pb, 0, a.Shape[0], true)
 }
 
 // MatMulPackedInto computes c = a x B for the packed B, fully
 // overwriting c without reading it. No zero-skip is applied, so when
 // pb holds Wᵀ (PackTransposed) the result is bitwise MatMulTransB(a, w)
 // — the dense-layer forward product.
-func MatMulPackedInto(c, a *Tensor, pb *PackedB) {
+func MatMulPackedInto[T Float](c, a *Dense[T], pb *PackedB[T]) {
 	checkPackedShapes("MatMulPackedInto", c, a, pb)
-	matMulPackedRows(c, a, pb, 0, a.Shape[0], false, false)
+	matMulPackedRows(c, a, pb, 0, a.Shape[0], false)
 }
 
-func checkPackedShapes(op string, c, a *Tensor, pb *PackedB) {
+func checkPackedShapes[T Float](op string, c, a *Dense[T], pb *PackedB[T]) {
 	if a.Rank() != 2 || c.Rank() != 2 {
 		panic("tensor: " + op + " requires rank-2 tensors")
 	}
@@ -129,23 +120,41 @@ func checkPackedShapes(op string, c, a *Tensor, pb *PackedB) {
 }
 
 // matMulPackedRows runs the panel kernel over output rows [lo, hi).
-// acc selects += (reading c) vs = (overwriting); skip selects the
-// sparse zero-skip of the accumulating kernels.
-func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
+// acc selects c += a x B with zero entries of a skipped (the sparse
+// accumulating kernels) over c = a x B dense (the layer products).
+// Full panels hold 8 accumulators in registers across the whole k
+// sweep — in Go at float64, in two SSE registers at float32
+// (axpy_amd64.s); the ragged tail runs a 4-lane block then scalar
+// lanes. Per-element order is ascending k at both widths.
+func matMulPackedRows[T Float](c, a *Dense[T], pb *PackedB[T], lo, hi int, acc bool) {
 	k, n := pb.K, pb.N
 	full := n / packPanel * packPanel
+	var c32, a32, d32 []float32
+	if Is32[T]() {
+		c32, a32, d32 = As32(c.Data), As32(a.Data), As32(pb.data)
+	}
 	for j0 := 0; j0 < full; j0 += packPanel {
-		panel := pb.data[j0/packPanel*k*packPanel : (j0/packPanel+1)*k*packPanel]
+		pLo, pHi := j0/packPanel*k*packPanel, (j0/packPanel+1)*k*packPanel
+		panel := pb.data[pLo:pHi]
 		for i := lo; i < hi; i++ {
+			if Is32[T]() {
+				ci, ai := c32[i*n+j0:i*n+j0+packPanel], a32[i*k:(i+1)*k]
+				if acc {
+					packedAccSkip32(ci, ai, d32[pLo:pHi])
+				} else {
+					packedInto32(ci, ai, d32[pLo:pHi])
+				}
+				continue
+			}
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*n+j0 : i*n+j0+packPanel : i*n+j0+packPanel]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			var s0, s1, s2, s3, s4, s5, s6, s7 T
 			if acc {
 				s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
 				s4, s5, s6, s7 = ci[4], ci[5], ci[6], ci[7]
 			}
 			for p, av := range ai {
-				if skip && av == 0 {
+				if acc && av == 0 {
 					continue
 				}
 				r := panel[p*packPanel : p*packPanel+packPanel]
@@ -175,12 +184,12 @@ func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
 		for i := lo; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*n+full : i*n+full+4 : i*n+full+4]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			if acc {
 				s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
 			}
 			for p, av := range ai {
-				if skip && av == 0 {
+				if acc && av == 0 {
 					continue
 				}
 				r := panel[p*packPanel : p*packPanel+4]
@@ -196,12 +205,12 @@ func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
 	for i := lo; i < hi; i++ {
 		ai := a.Data[i*k : (i+1)*k]
 		for t := t0; t < n-full; t++ {
-			var s float64
+			var s T
 			if acc {
 				s = c.Data[i*n+full+t]
 			}
 			for p, av := range ai {
-				if skip && av == 0 {
+				if acc && av == 0 {
 					continue
 				}
 				s += av * panel[p*packPanel+t]

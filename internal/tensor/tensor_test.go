@@ -407,3 +407,98 @@ func TestAddInPlaceMismatchPanics(t *testing.T) {
 	}()
 	New(2).AddInPlace(New(3))
 }
+
+// TestIm2Col3D32MatchesF64 runs the f32 lowering against the f64 one
+// on identical (exactly representable) inputs, covering the boundary
+// clipping on every face of the grid.
+func TestIm2Col3D32MatchesF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	b, c, d, h, w := 2, 3, 4, 5, 4
+	x64 := New(b, c, d, h, w)
+	for i := range x64.Data {
+		x64.Data[i] = float64(rng.Intn(16)) / 4 // exactly representable in f32
+	}
+	x32 := NewF32(b, c, d, h, w)
+	x32.CopyFrom64(x64)
+	for _, k := range []int{3, 5} {
+		ck3 := c * k * k * k
+		dhw := d * h * w
+		for _, span := range [][2]int{{0, dhw}, {3, 17}, {dhw - 5, dhw}} {
+			lo, hi := span[0], span[1]
+			cols64 := New(hi-lo, ck3)
+			cols32 := NewF32(hi-lo, ck3)
+			Im2Col3D(x64, 1, k, lo, hi, cols64)
+			Im2Col3D(x32, 1, k, lo, hi, cols32)
+			for i := range cols64.Data {
+				if float64(cols32.Data[i]) != cols64.Data[i] {
+					t.Fatalf("k=%d span=%v: col elem %d = %g, want %g", k, span, i, cols32.Data[i], cols64.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulAcc32MatchesF64 pins the zero-skip accumulating GEMM at
+// f32 (the Axpy32 leaf) to the f64 kernel on exactly representable
+// inputs.
+func TestMatMulAcc32MatchesF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	m, p, n := 7, 11, 9
+	a64, b64, c64 := New(m, p), New(p, n), New(m, n)
+	for i := range a64.Data {
+		a64.Data[i] = float64(rng.Intn(8)) - 3
+		if rng.Intn(3) == 0 {
+			a64.Data[i] = 0
+		}
+	}
+	for i := range b64.Data {
+		b64.Data[i] = float64(rng.Intn(8)) - 3
+	}
+	a32, b32, c32 := NewF32(m, p), NewF32(p, n), NewF32(m, n)
+	a32.CopyFrom64(a64)
+	b32.CopyFrom64(b64)
+	MatMulAcc(c64, a64, b64)
+	MatMulAcc(c32, a32, b32)
+	for i := range c64.Data {
+		if float64(c32.Data[i]) != c64.Data[i] {
+			t.Fatalf("elem %d = %g, want %g", i, c32.Data[i], c64.Data[i])
+		}
+	}
+}
+
+// TestTranspose64To32 checks the cached-transpose conversion helper at
+// both widths.
+func TestTranspose64To32(t *testing.T) {
+	n, k := 5, 3
+	w := make([]float64, n*k)
+	for i := range w {
+		w[i] = float64(i) * 0.25
+	}
+	w64 := TransposeFrom64[float64](w, n, k)
+	w32 := TransposeFrom64[float32](w, n, k)
+	if w32.Dim(0) != k || w32.Dim(1) != n || !w64.SameShape(Transpose(FromSlice(w, n, k))) {
+		t.Fatalf("shapes %v / %v, want [%d %d]", w32.Shape, w64.Shape, k, n)
+	}
+	for i := 0; i < n; i++ {
+		for p := 0; p < k; p++ {
+			if w64.Data[p*n+i] != w[i*k+p] || w32.Data[p*n+i] != float32(w[i*k+p]) {
+				t.Fatalf("elem (%d,%d) = %g / %g, want %g", p, i, w64.Data[p*n+i], w32.Data[p*n+i], w[i*k+p])
+			}
+		}
+	}
+}
+
+// TestF32CopyFrom64 checks the narrowing conversion helper.
+func TestF32CopyFrom64(t *testing.T) {
+	x := New(2, 3)
+	for i := range x.Data {
+		x.Data[i] = float64(i) + 0.5
+	}
+	y := NewF32(2, 3)
+	y.CopyFrom64(x)
+	for i := range x.Data {
+		if y.Data[i] != float32(x.Data[i]) {
+			t.Fatalf("elem %d = %g, want %g", i, y.Data[i], float32(x.Data[i]))
+		}
+	}
+}
