@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-determinism test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-report bench-serve bench-integrity bench-smoke clean
+.PHONY: all build verify test test-determinism test-portable test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-report bench-serve bench-integrity bench-smoke clean
 
 all: build
 
@@ -43,6 +43,14 @@ test-determinism:
 		GOMAXPROCS=$$p $(GO) test -count=1 -shuffle=on -run '$(DETERMINISM_TESTS)' \
 			. ./internal/screen/ ./internal/fusion/ ./internal/campaign/ || exit 1; \
 	done
+
+# The portable (!amd64) Go width leaves of internal/tensor against the
+# same goldens as the SSE/SSE2 assembly: GOARCH=386 builds the pure-Go
+# axpy, panel and scatter-footprint loops, so this pins the fallback
+# bitwise to the vector kernels. An amd64 Linux machine runs the 386
+# test binaries natively.
+test-portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/nn ./internal/graph ./internal/fusion
 
 # Race-enabled pass over the distributed campaign runtime: lease
 # state machine on the fake clock, racing-claim property test, the

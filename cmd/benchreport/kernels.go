@@ -7,11 +7,13 @@ package main
 // Coherent PredictBatch at repro and paper scale, and the distributed
 // scoring job end to end — on identical shapes and weights, so the
 // speedup column is the memory-traffic win of halving the element
-// width plus the SSE width of the f32 scatter/axpy kernels. `make
-// bench` archives the JSON form as BENCH_6.json. (BENCH_5.json, the
-// PR-5 featurization-cache trajectory, stays committed as history; its
-// RunJob/after-prefeature row — 541 poses/s — is the baseline the f64
-// RunJob row here chains from.)
+// width plus the doubled lane count of the f32 SSE leaves. The
+// Conv3DScatter rows time the scatter convolution alone at the conv1
+// shapes the funnel benchmark scores. `make bench` archives the JSON
+// form as BENCH_6.json. (BENCH_5.json, the PR-5 featurization-cache
+// trajectory, stays committed as history; its RunJob/after-prefeature
+// row — 541 poses/s — is the baseline the f64 RunJob row here chains
+// from.)
 
 import (
 	"context"
@@ -123,8 +125,9 @@ func runKernelReport() kernelReport {
 		add("MatMulPacked", before, after)
 	}
 
-	// Lowered Conv3D forward on the tile (im2col+GEMM) path: batch 8,
-	// 16 channels, 16^3 grid, 32 filters.
+	// Lowered Conv3D forward at batch 8, 16 channels, 16^3 grid, 32
+	// filters. Its 1 MiB position-major accumulator is under
+	// scatterMaxBytes, so this pair runs the sparse-scatter path.
 	{
 		conv := nn.NewConv3D(rand.New(rand.NewSource(62)), 16, 32, 3)
 		x := tensor.New(8, 16, 16, 16, 16)
@@ -140,6 +143,32 @@ func runKernelReport() kernelReport {
 		before := record("Conv3DForward/f64", nil, func(b *testing.B) { benchConv(b, conv, x, ws) })
 		after := record("Conv3DForward/f32", nil, func(b *testing.B) { benchConv(b, conv, x32, ws) })
 		add("Conv3DForward", before, after)
+	}
+
+	// Conv3DScatter: the scatter convolution alone at the two conv1
+	// shapes the funnel benchmark scores, on real featurized grids —
+	// the funnel's (f64, batch 8, 8^3, 8 filters, k5) and the paper
+	// grid's (f32, batch 2, 48^3, 32 filters, k5). Standalone rows, no
+	// speedup pair.
+	{
+		conv1 := func(seed int64, filters int, vo featurize.VoxelOptions, batch int) (*nn.Conv3D, *tensor.Tensor) {
+			samples := benchSamples(batch, vo)
+			per := samples[0].Voxels.Len()
+			x := tensor.New(append([]int{batch}, samples[0].Voxels.Shape...)...)
+			for i, s := range samples {
+				copy(x.Data[i*per:(i+1)*per], s.Voxels.Data)
+			}
+			return nn.NewConv3D(rand.New(rand.NewSource(seed)), vo.Channels(), filters, 5), x
+		}
+		conv, x := conv1(70, 8, featurize.DefaultVoxelOptions(), 8)
+		ws := nn.NewWorkspace()
+		rep.Benchmarks = append(rep.Benchmarks, record("Conv3DScatter/funnel-conv1/f64", nil,
+			func(b *testing.B) { benchConv(b, conv, x, ws) }))
+		conv, x = conv1(71, 32, featurize.PaperVoxelOptions(), 2)
+		x32 := tensor.NewF32(x.Shape...)
+		x32.CopyFrom64(x)
+		rep.Benchmarks = append(rep.Benchmarks, record("Conv3DScatter/paper-conv1/f32", nil,
+			func(b *testing.B) { benchConv(b, conv, x32, ws) }))
 	}
 
 	// PredictBatch: the whole Coherent Fusion forward (voxel head +

@@ -26,7 +26,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig1|table1|table2|table3|table4|table5|table6|table7|table8|fig2|fig4|fig5|fig6|fig7|hitrate|all")
 	full := flag.Bool("full", false, "use the full benchmark budget (minutes) instead of the smoke budget")
 	asJSON := flag.Bool("json", false, "emit a JSON array of {experiment, text} records instead of plain text")
-	kernels := flag.Bool("kernels", false, "benchmark the engine's f64 reference vs f32 fast-path kernels (MatMulPacked, Conv3DForward, PredictBatch, RunJob) instead of the paper experiments")
+	kernels := flag.Bool("kernels", false, "benchmark the engine's f64 reference vs f32 fast-path kernels (MatMulPacked, Conv3DForward, Conv3DScatter, PredictBatch, RunJob) instead of the paper experiments")
 	serveBench := flag.Bool("serve", false, "benchmark the screening service (warm engine + cross-request batcher) against the solo RunJob baseline instead of the paper experiments")
 	integrity := flag.Bool("integrity", false, "benchmark shard encode/decode at h5lite v1 (no checksums) vs v2 (CRC32C sections + trailer) instead of the paper experiments")
 	flag.Parse()

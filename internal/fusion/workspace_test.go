@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,11 +12,23 @@ import (
 // TestPredictBatchIntoByteIdentical is the golden guarantee of the
 // pooled engine: for every model family and batch size, a pooled
 // PredictBatchInto over a (dirty, reused) workspace must reproduce the
-// allocating PredictBatch bit for bit.
+// allocating PredictBatch bit for bit. It runs at the tiny config's
+// 4/6 conv filters and at DefaultCNN3DConfig's 8/16, the filter counts
+// the screening funnel scores with.
 func TestPredictBatchIntoByteIdentical(t *testing.T) {
 	ds := dataset(t)
 	samples := featurized(t, ds.Core[:8])
-	cnn := NewCNN3D(tinyCNNConfig(), 91)
+	prod, def := tinyCNNConfig(), DefaultCNN3DConfig()
+	prod.ConvFilters1, prod.ConvFilters2 = def.ConvFilters1, def.ConvFilters2
+	for _, cfg := range []CNN3DConfig{tinyCNNConfig(), prod} {
+		t.Run(fmt.Sprintf("filters=%d/%d", cfg.ConvFilters1, cfg.ConvFilters2), func(t *testing.T) {
+			checkPredictBatchIntoByteIdentical(t, cfg, samples)
+		})
+	}
+}
+
+func checkPredictBatchIntoByteIdentical(t *testing.T, cfg CNN3DConfig, samples []*Sample) {
+	cnn := NewCNN3D(cfg, 91)
 	sg := NewSGCNN(tinySGConfig(), 92)
 	late := &LateFusion{CNN: cnn, SG: sg}
 	mid := NewFusion(DefaultMidFusionConfig(), cnn, sg, 93)

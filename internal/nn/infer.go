@@ -419,83 +419,33 @@ func inferConv3D[T tensor.Float](c *Conv3D, x *tensor.Dense[T], ws *Workspace) *
 // into a position-major [DHW, Out] buffer — each nonzero voxel's
 // kernel footprint updates Out contiguous values per position, one
 // cache line, where forwardScatter strides Out channel planes — then
-// transposes once into the [Out, D, H, W] output block. Grid-boundary
-// clipping is hoisted out of the kernel loops (the surviving offsets
-// run branch-free). The channel update per kernel offset is the
-// kernel's width leaf: tensor.Axpy32 (SSE) at f32, the Go loop
-// unrolled 8 lanes at a time for the production filter counts at f64.
-// Lanes are independent accumulators, so both keep the scalar term
-// order. Per-element term order matches
-// forwardScatter exactly: for every output element, surviving terms
-// arrive in ascending (ci, input-position) order.
+// transposes once into the [Out, D, H, W] output block. Each nonzero
+// voxel is one tensor.ScatterBox call, which clips the footprint at
+// the grid faces and runs it in the width's vector leaf. Per-element
+// term order matches forwardScatter exactly: for every output element,
+// surviving terms arrive in ascending (ci, input-position) order.
 func scatterInfer[T tensor.Float](c *Conv3D, x, out, wt *tensor.Dense[T], bias []T, arena *tensor.Arena[T]) {
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	pad := k / 2
 	dhw := d * h * w
 	hw := h * w
 	nOut := c.Out
-	unroll8 := nOut%8 == 0
+	block := c.K * c.K * c.K * nOut // one input channel's kernel rows
+	grid := [3]int{d, h, w}
 	posBuf := arena.GetUninit(dhw, nOut)
 	pd := posBuf.Data
-	wd := wt.Data
-	var pd32, wd32 []float32
-	if tensor.Is32[T]() {
-		pd32, wd32 = tensor.As32(pd), tensor.As32(wd)
-	}
 	for b := 0; b < n; b++ {
 		for pos := 0; pos < dhw; pos++ {
 			copy(pd[pos*nOut:(pos+1)*nOut], bias)
 		}
 		for ci := 0; ci < c.In; ci++ {
 			chBase := (b*c.In + ci) * dhw
+			wc := wt.Data[ci*block : (ci+1)*block]
 			for ip, v := range x.Data[chBase : chBase+dhw] {
 				if v == 0 {
 					continue
 				}
-				id, rem := ip/hw, ip%hw
-				ih, iw := rem/w, rem%w
-				// Valid kernel ranges: zd = id+pad-kd must land in
-				// [0, d), and likewise for the other axes.
-				kdLo, kdHi := clipK(id, pad, d, k)
-				khLo, khHi := clipK(ih, pad, h, k)
-				kwLo, kwHi := clipK(iw, pad, w, k)
-				for kd := kdLo; kd <= kdHi; kd++ {
-					zd := id + pad - kd
-					for kh := khLo; kh <= khHi; kh++ {
-						zh := ih + pad - kh
-						// zw walks down one position per kw step, so
-						// both offsets advance by a constant stride.
-						wOff := (((ci*k+kd)*k+kh)*k + kwLo) * nOut
-						pOff := ((zd*h+zh)*w + iw + pad - kwLo) * nOut
-						for kw := kwLo; kw <= kwHi; kw++ {
-							switch {
-							case tensor.Is32[T]():
-								tensor.Axpy32(pd32[pOff:pOff+nOut:pOff+nOut], wd32[wOff:wOff+nOut], float32(v))
-							case unroll8:
-								for o := 0; o < nOut; o += 8 {
-									dr := pd[pOff+o : pOff+o+8 : pOff+o+8]
-									wr := wd[wOff+o : wOff+o+8 : wOff+o+8]
-									dr[0] += wr[0] * v
-									dr[1] += wr[1] * v
-									dr[2] += wr[2] * v
-									dr[3] += wr[3] * v
-									dr[4] += wr[4] * v
-									dr[5] += wr[5] * v
-									dr[6] += wr[6] * v
-									dr[7] += wr[7] * v
-								}
-							default:
-								dst := pd[pOff : pOff+nOut : pOff+nOut]
-								for o, wv := range wd[wOff : wOff+nOut] {
-									dst[o] += wv * v
-								}
-							}
-							wOff += nOut
-							pOff -= nOut
-						}
-					}
-				}
+				rem := ip % hw
+				tensor.ScatterBox(pd, wc, v, nOut, c.K, grid, [3]int{ip / hw, rem / w, rem % w})
 			}
 		}
 		outS := out.Data[b*nOut*dhw : (b+1)*nOut*dhw]
@@ -507,19 +457,6 @@ func scatterInfer[T tensor.Float](c *Conv3D, x, out, wt *tensor.Dense[T], bias [
 		}
 	}
 	arena.Put(posBuf)
-}
-
-// clipK returns the inclusive kernel-offset range [lo, hi] for which
-// the mirrored position i+pad-k stays inside [0, dim).
-func clipK(i, pad, dim, k int) (lo, hi int) {
-	lo, hi = i+pad-dim+1, i+pad
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > k-1 {
-		hi = k - 1
-	}
-	return lo, hi
 }
 
 // directInto is the serial reference convolution writing into a

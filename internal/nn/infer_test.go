@@ -170,6 +170,48 @@ func randInput32Pair(rng *rand.Rand, sparse bool, shape ...int) (*tensor.Tensor,
 	return x64, x32
 }
 
+// voxelInput32Pair is randInput32Pair with each element nonzero at the
+// given share, like an occupied voxel of a featurized grid.
+func voxelInput32Pair(rng *rand.Rand, density float64, shape ...int) (*tensor.Tensor, *tensor.F32) {
+	x32 := tensor.NewF32(shape...)
+	x64 := tensor.New(shape...)
+	for i := range x32.Data {
+		if rng.Float64() < density {
+			x32.Data[i] = float32(rng.NormFloat64())
+			x64.Data[i] = float64(x32.Data[i])
+		}
+	}
+	return x64, x32
+}
+
+// BenchmarkConvInferScatter times one warm pooled scatter convolution
+// at the two conv1 shapes the benchmarks score: the funnel's (f64,
+// batch 8, 16 channels at 8^3, 8 filters, k5, 13% of voxels occupied)
+// and the paper grid's (f32, one 48^3 sample, 32 filters, k5, 0.15%
+// occupied). Both stay under scatterMaxBytes, so Infer scatters.
+func BenchmarkConvInferScatter(b *testing.B) {
+	rng := rand.New(rand.NewSource(75))
+	funnel := NewConv3D(rng, 16, 8, 5)
+	x64, _ := voxelInput32Pair(rng, 0.13, 8, 16, 8, 8, 8)
+	b.Run("funnel-f64", func(b *testing.B) { benchConvInfer(b, funnel, x64) })
+	paper := NewConv3D(rng, 16, 32, 5)
+	_, x32 := voxelInput32Pair(rng, 0.0015, 1, 16, 48, 48, 48)
+	b.Run("paper-f32", func(b *testing.B) { benchConvInfer(b, paper, x32) })
+}
+
+func benchConvInfer[T tensor.Float](b *testing.B, c *Conv3D, x *tensor.Dense[T]) {
+	if c.Out*x.Dim(2)*x.Dim(3)*x.Dim(4)*8 > scatterMaxBytes {
+		b.Fatal("shape no longer takes the scatter path")
+	}
+	b.ReportAllocs()
+	ws := NewWorkspace()
+	Infer(c, x, ws) // warm the arena and the kernel transpose
+	for b.Loop() {
+		ws.Reset()
+		Infer(c, x, ws)
+	}
+}
+
 // maxRelErr32 returns max |got-want| / max(1, |want|) over the pair.
 func maxRelErr32(got *tensor.F32, want *tensor.Tensor) float64 {
 	worst := 0.0
@@ -197,15 +239,24 @@ func TestConv3DInfer32BoundaryClipping(t *testing.T) {
 		name        string
 		in, out, k  int
 		d, h, w     int
-		wantScatter bool // which algorithm Infer should pick
+		wantScatter bool    // which algorithm Infer should pick
+		density     float64 // nonzero input share; 0 draws randInput32Pair's 1/3
 	}{
 		// 4^3 grid with k=5: footprints clip on both faces of every axis.
-		{"scatter-k5-tiny", 2, 8, 5, 4, 4, 4, true},
+		{"scatter-k5-tiny", 2, 8, 5, 4, 4, 4, true, 0},
 		// Non-unrollable channel count exercises the vector kernel's
 		// scalar tail lanes.
-		{"scatter-k3-odd-out", 3, 6, 3, 5, 4, 3, true},
+		{"scatter-k3-odd-out", 3, 6, 3, 5, 4, 3, true, 0},
 		// 41^3 at Out=64 exceeds scatterMaxBytes -> tile path.
-		{"tile-k3", 1, 64, 3, 41, 41, 41, false},
+		{"tile-k3", 1, 64, 3, 41, 41, 41, false, 0},
+		// The funnel CNN3D's four convolutions at DefaultCNN3DConfig's
+		// 8/16 filters: conv1 reads the voxel grid itself (~13% of
+		// voxels occupied at the 8^3 repro grid), the rest read
+		// activations.
+		{"funnel-conv1", 16, 8, 5, 8, 8, 8, true, 0.13},
+		{"funnel-conv2", 8, 8, 3, 8, 8, 8, true, 0},
+		{"funnel-conv3", 8, 16, 3, 4, 4, 4, true, 0},
+		{"funnel-conv4", 16, 16, 3, 4, 4, 4, true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,6 +266,9 @@ func TestConv3DInfer32BoundaryClipping(t *testing.T) {
 				t.Fatalf("algorithm selection: scatter=%v, want %v", got, tc.wantScatter)
 			}
 			x64, x32 := randInput32Pair(rng, true, 2, tc.in, tc.d, tc.h, tc.w)
+			if tc.density > 0 {
+				x64, x32 = voxelInput32Pair(rng, tc.density, 2, tc.in, tc.d, tc.h, tc.w)
+			}
 			ws := NewWorkspace()
 			checkConvMatchesDirect(t, c, x64, ws)
 			checkConvMatchesDirect(t, c, x32, ws)

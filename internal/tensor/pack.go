@@ -122,53 +122,22 @@ func checkPackedShapes[T Float](op string, c, a *Dense[T], pb *PackedB[T]) {
 // matMulPackedRows runs the panel kernel over output rows [lo, hi).
 // acc selects c += a x B with zero entries of a skipped (the sparse
 // accumulating kernels) over c = a x B dense (the layer products).
-// Full panels hold 8 accumulators in registers across the whole k
-// sweep — in Go at float64, in two SSE registers at float32
-// (axpy_amd64.s); the ragged tail runs a 4-lane block then scalar
-// lanes. Per-element order is ascending k at both widths.
+// Full panels run a panel leaf (leaf.go) that holds the 8 accumulators
+// in vector registers across the whole k sweep; the ragged tail runs a
+// 4-lane block then scalar lanes in Go. Per-element order is ascending
+// k at both widths.
 func matMulPackedRows[T Float](c, a *Dense[T], pb *PackedB[T], lo, hi int, acc bool) {
 	k, n := pb.K, pb.N
 	full := n / packPanel * packPanel
-	var c32, a32, d32 []float32
-	if Is32[T]() {
-		c32, a32, d32 = As32(c.Data), As32(a.Data), As32(pb.data)
-	}
 	for j0 := 0; j0 < full; j0 += packPanel {
-		pLo, pHi := j0/packPanel*k*packPanel, (j0/packPanel+1)*k*packPanel
-		panel := pb.data[pLo:pHi]
+		panel := pb.data[j0/packPanel*k*packPanel : (j0/packPanel+1)*k*packPanel]
 		for i := lo; i < hi; i++ {
-			if Is32[T]() {
-				ci, ai := c32[i*n+j0:i*n+j0+packPanel], a32[i*k:(i+1)*k]
-				if acc {
-					packedAccSkip32(ci, ai, d32[pLo:pHi])
-				} else {
-					packedInto32(ci, ai, d32[pLo:pHi])
-				}
-				continue
-			}
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n+j0 : i*n+j0+packPanel : i*n+j0+packPanel]
-			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			ci, ai := c.Data[i*n+j0:i*n+j0+packPanel], a.Data[i*k:(i+1)*k]
 			if acc {
-				s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
-				s4, s5, s6, s7 = ci[4], ci[5], ci[6], ci[7]
+				packedAccSkip(ci, ai, panel)
+			} else {
+				packedInto(ci, ai, panel)
 			}
-			for p, av := range ai {
-				if acc && av == 0 {
-					continue
-				}
-				r := panel[p*packPanel : p*packPanel+packPanel]
-				s0 += av * r[0]
-				s1 += av * r[1]
-				s2 += av * r[2]
-				s3 += av * r[3]
-				s4 += av * r[4]
-				s5 += av * r[5]
-				s6 += av * r[6]
-				s7 += av * r[7]
-			}
-			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
-			ci[4], ci[5], ci[6], ci[7] = s4, s5, s6, s7
 		}
 	}
 	if full == n {

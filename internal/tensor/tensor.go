@@ -37,23 +37,28 @@ type Tensor = Dense[float64]
 // F32 is the float32 tensor of the inference fast path.
 type F32 = Dense[float32]
 
-// Is32 reports whether T is float32. unsafe.Sizeof of a type-parameter
+// is32 reports whether T is float32. unsafe.Sizeof of a type-parameter
 // value is a constant within each compiled instantiation, so a branch
-// on Is32 folds away at compile time: the float64 code never carries
+// on is32 folds away at compile time: the float64 code never carries
 // the float32 leaf and vice versa. It is how a generic kernel picks
-// its width-specific leaves (the SSE kernels in axpy_amd64.s) once per
-// instantiation instead of per element.
-func Is32[T Float]() bool {
+// its width leaves (leaf.go) once per instantiation instead of per
+// element.
+func is32[T Float]() bool {
 	var z T
 	return unsafe.Sizeof(z) == 4
 }
 
-// As32 reinterprets s as []float32 — valid only under an Is32 branch,
+// as32 reinterprets s as []float32 — valid only under an is32 branch,
 // where T is float32 — so a generic kernel can hand its operands to a
-// float32-only leaf. The slice header is reused as is: no copy, no
-// checks, no code.
-func As32[T Float](s []T) []float32 {
+// float32 leaf. The slice header is reused as is: no copy, no checks,
+// no code.
+func as32[T Float](s []T) []float32 {
 	return *(*[]float32)(unsafe.Pointer(&s))
+}
+
+// as64 is as32 for the float64 leaves, valid only where is32 is false.
+func as64[T Float](s []T) []float64 {
+	return *(*[]float64)(unsafe.Pointer(&s))
 }
 
 // New returns a zero-filled float64 tensor with the given shape.
